@@ -287,40 +287,125 @@ impl Network {
         true
     }
 
-    /// Direct-placement item insert for churn/turnover phases: the value
+    /// Direct-placement batch insert for churn/turnover phases: every value
     /// lands on its true owner without routing (the mega-scale simulator
     /// path — routing 5% of 2·10⁷ items per round would dwarf the phase
-    /// under measurement), charged one [`MessageKind::Handoff`] transfer.
-    pub fn churn_insert_item(&mut self, x: f64) {
-        if self.nodes.is_empty() {
+    /// under measurement), each charged one [`MessageKind::Handoff`]
+    /// transfer and one epoch bump. Does nothing on an empty network.
+    ///
+    /// The stores come out exactly as inserting the values one at a time in
+    /// slice order with [`crate::LocalStore::insert`] leaves them. Owners
+    /// are resolved by one walk of the key column over the values sorted by
+    /// ring position (wrapping past the top of the ring to position 0), and
+    /// each touched store takes one merge of its values, sorted ascending
+    /// with ties kept in slice order.
+    pub fn churn_insert_items(&mut self, values: &[f64]) {
+        let p = self.nodes.len();
+        if p == 0 || values.is_empty() {
             return;
         }
-        self.bump_epoch();
-        let pos = self.nodes.owner_position(self.placement.place(x));
-        self.nodes.node_at_mut(pos).store.insert(x);
-        self.stats.record(MessageKind::Handoff, 8);
+        let placement = self.placement;
+        let mut by_place: Vec<(RingId, usize)> =
+            values.iter().enumerate().map(|(seq, &x)| (placement.place(x), seq)).collect();
+        by_place.sort_unstable();
+        let mut owned: Vec<(usize, f64, usize)> = Vec::with_capacity(values.len());
+        let mut pos = 0;
+        let (keys, _) = self.nodes.columns();
+        for &(r, seq) in &by_place {
+            while pos < p && keys[pos] < r {
+                pos += 1;
+            }
+            owned.push((if pos == p { 0 } else { pos }, values[seq], seq));
+        }
+        // Values past the last peer wrapped to position 0; move them to the
+        // front so every owner's values are contiguous.
+        let wrapped = owned.iter().rev().take_while(|&&(owner, _, _)| owner == 0).count();
+        owned.rotate_right(wrapped);
+        let mut run = Vec::new();
+        let mut lo = 0;
+        while lo < owned.len() {
+            let owner = owned[lo].0;
+            let hi = lo + owned[lo..].iter().take_while(|&&(o, _, _)| o == owner).count();
+            let group = &mut owned[lo..hi];
+            group.sort_unstable_by(|a, b| {
+                a.1.partial_cmp(&b.1).expect("NaN item").then(a.2.cmp(&b.2))
+            });
+            run.clear();
+            run.extend(group.iter().map(|&(_, x, _)| x));
+            self.nodes.node_at_mut(owner).store.insert_sorted_run(&run);
+            lo = hi;
+        }
+        for _ in values {
+            self.bump_epoch();
+            self.stats.record(MessageKind::Handoff, 8);
+        }
     }
 
-    /// Direct item delete for churn/turnover phases: removes one uniform
-    /// value from the first non-empty store at or after a random position,
-    /// charged one [`MessageKind::Handoff`] transfer. Returns the removed
-    /// value (`None` only when the network holds no items).
-    pub fn churn_remove_item<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<f64> {
+    /// Direct batch delete for churn/turnover phases: `n` removals, each of
+    /// one uniform value from the first non-empty store at or after a
+    /// uniform random ring position — so removal is uniform over *stores*,
+    /// not items — each charged one [`MessageKind::Handoff`] transfer and
+    /// one epoch bump. Removed values are appended to `out` in draw order.
+    /// Once the network holds no items, the remaining removals still draw
+    /// their start position but remove nothing, so `out` grows by fewer
+    /// than `n`.
+    ///
+    /// Two phases, with the same RNG stream, removed values and stores as
+    /// `n` one-at-a-time removals (a draw depends only on store lengths, and
+    /// nothing inserts in between): every draw runs against a snapshot of
+    /// the store lengths, finding the next non-empty store in an occupancy
+    /// bitset; then one ring-order sweep removes each store's picks in draw
+    /// order.
+    pub fn churn_remove_items<R: Rng + ?Sized>(
+        &mut self,
+        n: usize,
+        rng: &mut R,
+        out: &mut Vec<f64>,
+    ) {
         let p = self.nodes.len();
         if p == 0 {
-            return None;
+            return;
         }
-        let start = rng.gen_range(0..p);
-        for k in 0..p {
-            let node = self.nodes.node_at_mut((start + k) % p);
-            if let Some(x) = node.store.sample_uniform(rng) {
-                node.store.remove(x);
-                self.bump_epoch();
-                self.stats.record(MessageKind::Handoff, 8);
-                return Some(x);
+        let mut lens: Vec<usize> = self.nodes.values().map(|node| node.store.len()).collect();
+        let mut occupied = vec![0u64; p.div_ceil(64)];
+        let mut live = 0usize;
+        for (pos, &len) in lens.iter().enumerate() {
+            if len > 0 {
+                occupied[pos / 64] |= 1 << (pos % 64);
+                live += 1;
             }
         }
-        None
+        // Draw: `(position, seq, index into the store as of that draw)`.
+        let mut picks: Vec<(usize, usize, usize)> = Vec::new();
+        for _ in 0..n {
+            let start = rng.gen_range(0..p);
+            if live == 0 {
+                continue;
+            }
+            let pos = next_occupied(&occupied, start);
+            let idx = rng.gen_range(0..lens[pos]);
+            lens[pos] -= 1;
+            if lens[pos] == 0 {
+                occupied[pos / 64] &= !(1 << (pos % 64));
+                live -= 1;
+            }
+            picks.push((pos, picks.len(), idx));
+        }
+        // Resolve in ring order; `seq` breaks ties, so each store replays
+        // its picks in draw order.
+        picks.sort_unstable();
+        let base = out.len();
+        out.resize(base + picks.len(), 0.0);
+        for &(pos, seq, idx) in &picks {
+            let store = &mut self.nodes.node_at_mut(pos).store;
+            let x = store.values()[idx];
+            store.remove(x);
+            out[base + seq] = x;
+        }
+        for _ in &picks {
+            self.bump_epoch();
+            self.stats.record(MessageKind::Handoff, 8);
+        }
     }
 
     /// Amortized single crash on arena state: the peer vanishes, its primary
@@ -771,6 +856,24 @@ impl MergedView<'_> {
     }
 }
 
+/// The first set bit at or after `start` in `bits`, wrapping past the end.
+///
+/// # Panics
+/// Panics if no bit is set.
+fn next_occupied(bits: &[u64], start: usize) -> usize {
+    let w = start / 64;
+    let here = bits[w] & (!0u64 << (start % 64));
+    if here != 0 {
+        return w * 64 + here.trailing_zeros() as usize;
+    }
+    // Word `w` comes round again last, for its bits below `start`.
+    (1..=bits.len())
+        .map(|step| (w + step) % bits.len())
+        .find(|&i| bits[i] != 0)
+        .map(|i| i * 64 + bits[i].trailing_zeros() as usize)
+        .expect("occupancy bitset is empty")
+}
+
 /// An exponential interarrival with the given rate.
 fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     debug_assert!(rate > 0.0);
@@ -874,17 +977,164 @@ mod tests {
         net.bulk_load(&(0..160).map(|i| i as f64 * 100.0 / 160.0).collect::<Vec<_>>());
         let mut rng = StdRng::seed_from_u64(9);
         let bytes0 = net.stats().total_bytes();
-        net.churn_insert_item(12.34);
+        net.churn_insert_items(&[12.34]);
         assert_eq!(net.total_items(), 161);
-        let removed = net.churn_remove_item(&mut rng).expect("items exist");
-        assert!((0.0..=100.0).contains(&removed));
+        let owner = net.nodes.key_at(net.nodes.owner_position(net.placement.place(12.34))).unwrap();
+        assert!(net.node(owner).unwrap().store.values().contains(&12.34), "lands on its owner");
+        let mut removed = Vec::new();
+        net.churn_remove_items(1, &mut rng, &mut removed);
+        assert_eq!(removed.len(), 1, "items exist");
+        assert!((0.0..=100.0).contains(&removed[0]));
         assert_eq!(net.total_items(), 160);
-        // Two ops, each one Handoff message: 8 B payload + fixed header.
+        // Two items, each one Handoff message: 8 B payload + fixed header.
         assert_eq!(
             net.stats().total_bytes() - bytes0,
             2 * (8 + crate::messages::HEADER_BYTES as u64)
         );
         assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
+    }
+
+    /// The specification of item turnover, deliberately naive: one item at a
+    /// time. Each removal walks forward from a uniform random position to
+    /// the first non-empty store and removes a uniform value from it.
+    fn reference_remove_items(net: &mut Network, n: usize, rng: &mut StdRng, out: &mut Vec<f64>) {
+        let p = net.nodes.len();
+        if p == 0 {
+            return;
+        }
+        for _ in 0..n {
+            let start = rng.gen_range(0..p);
+            for k in 0..p {
+                let node = net.nodes.node_at_mut((start + k) % p);
+                if let Some(x) = node.store.sample_uniform(rng) {
+                    node.store.remove(x);
+                    net.bump_epoch();
+                    net.stats.record(MessageKind::Handoff, 8);
+                    out.push(x);
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Each insert binary-searches its owner and inserts into its store.
+    fn reference_insert_items(net: &mut Network, values: &[f64]) {
+        for &x in values {
+            if net.nodes.is_empty() {
+                return;
+            }
+            net.bump_epoch();
+            let pos = net.nodes.owner_position(net.placement.place(x));
+            net.nodes.node_at_mut(pos).store.insert(x);
+            net.stats.record(MessageKind::Handoff, 8);
+        }
+    }
+
+    /// Every store's values as bits, in ring order.
+    fn store_bits(net: &Network) -> Vec<(RingId, Vec<u64>)> {
+        net.nodes
+            .iter()
+            .map(|(id, n)| (*id, n.store.values().iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
+    /// Every store bit for bit, the message counters and the epoch.
+    fn assert_same_turnover_state(a: &Network, b: &Network, ctx: &str) {
+        assert_eq!(store_bits(a), store_bits(b), "{ctx}: stores");
+        assert_eq!(a.stats(), b.stats(), "{ctx}: message stats");
+        assert_eq!(a.mutation_epoch(), b.mutation_epoch(), "{ctx}: epoch");
+    }
+
+    #[test]
+    fn batched_turnover_matches_the_one_at_a_time_reference() {
+        for placement in [Placement::range(0.0, 100.0), Placement::hashed(0.0, 100.0)] {
+            for seed in 0..6u64 {
+                let ctx = |round: u64| format!("{placement:?} seed {seed} round {round}");
+                // 200 peers: the occupancy bitset spans several words.
+                let ids = (1..=200u64).map(|i| RingId(i * (u64::MAX / 201))).collect();
+                let mut spec = Network::build(ids, placement);
+                // Skewed load: most stores sparse, so removals drain them.
+                let mut values = StdRng::seed_from_u64(seed ^ 0x5EED);
+                let base: Vec<f64> =
+                    (0..2_400).map(|_| 100.0 * values.gen::<f64>().powi(3)).collect();
+                spec.bulk_load(&base);
+                let mut fast = spec.clone();
+                // A fork sharing every store: the batched ops must copy a
+                // shared store, never write through it.
+                let fork = spec.clone();
+                let fork_bits = store_bits(&fork);
+                let mut rng_spec = StdRng::seed_from_u64(seed);
+                let mut rng_fast = StdRng::seed_from_u64(seed);
+                for round in 0..12 {
+                    let t = spec.total_items() as usize / 5;
+                    let (mut out_spec, mut out_fast) = (Vec::new(), Vec::new());
+                    reference_remove_items(&mut spec, t, &mut rng_spec, &mut out_spec);
+                    fast.churn_remove_items(t, &mut rng_fast, &mut out_fast);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&out_spec), bits(&out_fast), "{}: removed", ctx(round));
+                    assert_same_turnover_state(&spec, &fast, &ctx(round));
+                    // Fewer inserts than removals, so stores keep draining.
+                    // Duplicates, signed zeros and the top of the domain
+                    // (past the last peer under range placement, so it
+                    // wraps to position 0) ride along.
+                    let mut fresh: Vec<f64> = (0..t / 2)
+                        .map(|i| match i % 7 {
+                            0 => 50.0,
+                            1 => 0.0,
+                            2 => -0.0,
+                            3 => 100.0,
+                            _ => 100.0 * values.gen::<f64>(),
+                        })
+                        .collect();
+                    fresh.push(99.999_999);
+                    reference_insert_items(&mut spec, &fresh);
+                    fast.churn_insert_items(&fresh);
+                    assert_same_turnover_state(&spec, &fast, &ctx(round));
+                    assert_eq!(rng_spec.gen::<u64>(), rng_fast.gen::<u64>(), "{}: rng", ctx(round));
+                }
+                assert_eq!(store_bits(&fork), fork_bits, "{}: fork written through", ctx(12));
+            }
+        }
+    }
+
+    #[test]
+    fn wrapped_inserts_keep_call_order_among_equal_values() {
+        // Under hashed placement 0.0 and -0.0 are equal values at different
+        // ring positions. Peer 0 sits on the lower one; peer 1 sits below
+        // the upper one, which therefore wraps to peer 0 too — after the
+        // values peer 1 owns in ring order.
+        let placement = Placement::hashed(0.0, 100.0);
+        let (mut front, mut wraps) = (-0.0, 0.0);
+        if placement.place(front) > placement.place(wraps) {
+            std::mem::swap(&mut front, &mut wraps);
+        }
+        let (lo, hi) = (placement.place(front), placement.place(wraps));
+        let mid = RingId(lo.0 + (hi.0 - lo.0) / 2);
+        let owned_by_mid =
+            (1..).map(f64::from).find(|&x| placement.place(x).in_arc(lo, mid)).expect("some value");
+        let mut spec = Network::build(vec![lo, mid], placement);
+        let mut fast = spec.clone();
+        let values = [wraps, owned_by_mid, front, wraps];
+        reference_insert_items(&mut spec, &values);
+        fast.churn_insert_items(&values);
+        assert_same_turnover_state(&spec, &fast, "signed zeros");
+    }
+
+    #[test]
+    fn batched_removal_past_the_live_items_keeps_drawing() {
+        let mut spec = net_of_n(8);
+        spec.bulk_load(&[1.0, 20.0, 20.0, 55.0, 90.0]);
+        let mut fast = spec.clone();
+        let mut rng_spec = StdRng::seed_from_u64(4);
+        let mut rng_fast = StdRng::seed_from_u64(4);
+        let (mut out_spec, mut out_fast) = (vec![-1.0], vec![-1.0]);
+        reference_remove_items(&mut spec, 12, &mut rng_spec, &mut out_spec);
+        fast.churn_remove_items(12, &mut rng_fast, &mut out_fast);
+        assert_eq!(out_fast.len(), 6, "appends only what was there");
+        assert_eq!(out_spec, out_fast);
+        assert_eq!(fast.total_items(), 0);
+        assert_same_turnover_state(&spec, &fast, "drained");
+        assert_eq!(rng_spec.gen::<u64>(), rng_fast.gen::<u64>(), "drained: rng");
     }
 
     #[test]

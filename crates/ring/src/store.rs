@@ -68,6 +68,31 @@ impl LocalStore {
         Arc::make_mut(&mut self.sorted).insert(pos, x);
     }
 
+    /// Inserts a run of values sorted ascending, with ties in insertion
+    /// order, in one `O(n + m)` backward merge. Leaves exactly the store
+    /// that inserting them one at a time with [`LocalStore::insert`] leaves:
+    /// each value lands after every `v <= x`. A shared backing is copied
+    /// first, never written through.
+    pub fn insert_sorted_run(&mut self, run: &[f64]) {
+        if run.is_empty() {
+            return;
+        }
+        debug_assert!(run.windows(2).all(|w| w[0] <= w[1]), "run not sorted");
+        let sorted = Arc::make_mut(&mut self.sorted);
+        let mut i = sorted.len();
+        // Exact growth: a store takes a few values per turnover round, and
+        // doubling would double the footprint of every store it touches.
+        sorted.reserve_exact(run.len());
+        sorted.resize(i + run.len(), 0.0);
+        for (j, &x) in run.iter().enumerate().rev() {
+            while i > 0 && sorted[i - 1] > x {
+                sorted[i + j] = sorted[i - 1];
+                i -= 1;
+            }
+            sorted[i + j] = x;
+        }
+    }
+
     /// Adds many values at once, re-sorting once (`O((n+m) log (n+m))`).
     /// An empty iterator is a guaranteed no-op (no copy-on-write detach), so
     /// empty handoffs under batched churn stay allocation-free.

@@ -132,25 +132,25 @@ pub fn membership_batch(
 }
 
 /// One round of item turnover: deletes `TURNOVER_FRAC` of the live items
-/// (uniform over stores) and inserts the same number of fresh draws from
-/// the generating distribution, both through the direct-placement path.
+/// and inserts the same number of fresh draws from the generating
+/// distribution, both through the batched direct-placement ops
+/// ([`Network::churn_remove_items`], [`Network::churn_insert_items`]).
 /// Returns `(inserted, removed)` for the caller's truth journal.
+///
+/// Removal is uniform over *stores*, not items: each delete picks the first
+/// non-empty store at or after a uniform random ring position, then a
+/// uniform item in it. Sparse stores therefore lose a larger share of their
+/// items than dense ones, and round after round they drain. The bias is
+/// part of the workload — removing uniformly over items would change F12b's
+/// bytes — so it stays.
 pub fn item_turnover(built: &mut BuiltScenario, round: u64) -> (Vec<f64>, Vec<f64>) {
     let seq = SeedSequence::new(built.scenario.seed);
     let mut rng = seq.stream(Component::Churn, 2 * round + 1);
     let t = (built.net.total_items() as f64 * TURNOVER_FRAC) as usize;
     let mut removed = Vec::with_capacity(t);
-    for _ in 0..t {
-        if let Some(x) = built.net.churn_remove_item(&mut rng) {
-            removed.push(x);
-        }
-    }
-    let mut inserted = Vec::with_capacity(t);
-    for _ in 0..t {
-        let x = built.truth.sample(&mut rng);
-        built.net.churn_insert_item(x);
-        inserted.push(x);
-    }
+    built.net.churn_remove_items(t, &mut rng, &mut removed);
+    let inserted: Vec<f64> = (0..t).map(|_| built.truth.sample(&mut rng)).collect();
+    built.net.churn_insert_items(&inserted);
     (inserted, removed)
 }
 
