@@ -142,12 +142,12 @@ fn metrics_ks(c: &mut Criterion) {
 }
 
 fn churn(c: &mut Criterion) {
-    // The three membership-mutation policies F12b weighs against each other,
+    // The two membership-mutation policies F12b weighs against each other,
     // on a data-free 4096-peer ring (isolating repair machinery from data
-    // handoff): one coalesced `ChurnBatch` window, the same event mix
-    // through the one-at-a-time arena drivers, and the teardown-and-rebuild
-    // a snapshot-immutable design would pay instead. Windows are join/death
-    // balanced (32/16/16) so the ring size stays put across iterations.
+    // handoff): one coalesced `ChurnBatch` window, and the
+    // teardown-and-rebuild a snapshot-immutable design would pay instead.
+    // Windows are join/death balanced (32/16/16) so the ring size stays put
+    // across iterations.
     let mut g = c.benchmark_group("micro/churn");
     let p = 4096;
     {
@@ -168,28 +168,6 @@ fn churn(c: &mut Criterion) {
                     batch.crash(net.random_peer(&mut rng).expect("nonempty"));
                 }
                 batch.apply(&mut net).joins
-            });
-        });
-    }
-    {
-        let mut rng = SeedSequence::new(23).stream(Component::NodeIds, 0);
-        let ids: Vec<RingId> = (0..p).map(|_| RingId(rng.gen())).collect();
-        let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
-        let mut rng = SeedSequence::new(24).stream(Component::Churn, 0);
-        g.bench_function("incremental_64_events", |b| {
-            b.iter(|| {
-                for _ in 0..32 {
-                    net.churn_join(RingId(rng.gen()));
-                }
-                for _ in 0..16 {
-                    let v = net.random_peer(&mut rng).expect("nonempty");
-                    net.churn_leave(v);
-                }
-                for _ in 0..16 {
-                    let v = net.random_peer(&mut rng).expect("nonempty");
-                    net.churn_crash(v);
-                }
-                net.len()
             });
         });
     }

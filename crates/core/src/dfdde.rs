@@ -33,6 +33,25 @@ pub enum ProbeStrategy {
     IidUniform,
 }
 
+/// Draws a probe point for stratum `j` of `k`: uniform inside the `j`-th of
+/// `k` equal ring arcs under [`ProbeStrategy::Stratified`], uniform over the
+/// whole ring under [`ProbeStrategy::IidUniform`]. [`DfDde::run_probes`]
+/// and [`crate::ProbePlan`] draw every point here, first attempts and
+/// within-stratum retries alike.
+///
+/// Determinism: draws exactly one `u64` from the caller-supplied RNG stream;
+/// identical inputs and RNG state produce identical output.
+pub(crate) fn draw_point(strategy: ProbeStrategy, j: usize, k: usize, rng: &mut StdRng) -> RingId {
+    match strategy {
+        ProbeStrategy::IidUniform => RingId(rng.gen()),
+        ProbeStrategy::Stratified => {
+            let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
+            let offset = u128::from(rng.gen::<u64>()) % stratum;
+            RingId(((j as u128 % k as u128) * stratum + offset) as u64)
+        }
+    }
+}
+
 /// Phase-2 sampling behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleMode {
@@ -122,8 +141,6 @@ impl DfDde {
         let k = self.config.probes;
         let retry = self.config.retry;
         let mut replies = Vec::with_capacity(k);
-        // Stratum width for systematic probing (k strata tile the ring).
-        let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
         for j in 0..k {
             for attempt in 0..retry.max_attempts.max(1) {
                 // Every attempt draws a fresh random position (the old one
@@ -131,13 +148,7 @@ impl DfDde {
                 // stay *inside the probe's stratum* under the stratified
                 // strategy — re-issuing globally uniform would quietly
                 // un-stratify the design and inflate variance under loss.
-                let point = match self.config.strategy {
-                    ProbeStrategy::IidUniform => RingId(rng.gen()),
-                    ProbeStrategy::Stratified => {
-                        let offset = rng.gen::<u64>() as u128 % stratum;
-                        RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                    }
-                };
+                let point = draw_point(self.config.strategy, j, k, rng);
                 match net.probe(initiator, point) {
                     Ok(reply) => {
                         replies.push(reply);

@@ -19,11 +19,10 @@
 //! one within the DKW band on identical snapshots — is asserted by
 //! `crates/sim/tests/piggyback_equivalence.rs`.
 
-use crate::dfdde::{DfDde, ProbeStrategy};
+use crate::dfdde::{draw_point, DfDde};
 use crate::estimator::EstimateError;
 use dde_ring::{Network, ProbeReply, RingId};
 use rand::rngs::StdRng;
-use rand::Rng;
 
 /// A planned set of Phase-1 probe points whose replies may be satisfied by
 /// piggybacking on foreground lookups before dedicated probes are issued.
@@ -46,16 +45,7 @@ impl ProbePlan {
     pub fn plan(estimator: &DfDde, rng: &mut StdRng) -> Self {
         let cfg = estimator.config();
         let k = cfg.probes;
-        let stratum = (u128::from(u64::MAX) + 1) / k.max(1) as u128;
-        let points: Vec<RingId> = (0..k)
-            .map(|j| match cfg.strategy {
-                ProbeStrategy::IidUniform => RingId(rng.gen()),
-                ProbeStrategy::Stratified => {
-                    let offset = u128::from(rng.gen::<u64>()) % stratum;
-                    RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                }
-            })
-            .collect();
+        let points: Vec<RingId> = (0..k).map(|j| draw_point(cfg.strategy, j, k, rng)).collect();
         Self { replies: vec![None; points.len()], points, piggybacked: 0 }
     }
 
@@ -120,24 +110,14 @@ impl ProbePlan {
     ) -> Result<Vec<ProbeReply>, EstimateError> {
         let cfg = estimator.config();
         let retry = cfg.retry;
-        let k = self.points.len().max(1);
-        let stratum = (u128::from(u64::MAX) + 1) / k as u128;
+        let k = self.points.len();
         for (j, slot) in self.replies.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
             for attempt in 0..retry.max_attempts.max(1) {
-                let point = if attempt == 0 {
-                    self.points[j]
-                } else {
-                    match cfg.strategy {
-                        ProbeStrategy::IidUniform => RingId(rng.gen()),
-                        ProbeStrategy::Stratified => {
-                            let offset = u128::from(rng.gen::<u64>()) % stratum;
-                            RingId(((j as u128 % k as u128) * stratum + offset) as u64)
-                        }
-                    }
-                };
+                let point =
+                    if attempt == 0 { self.points[j] } else { draw_point(cfg.strategy, j, k, rng) };
                 match net.probe(initiator, point) {
                     Ok(reply) => {
                         *slot = Some(reply);
@@ -161,6 +141,7 @@ mod tests {
     use super::*;
     use crate::dfdde::DfDdeConfig;
     use dde_ring::{MessageKind, Placement};
+    use rand::Rng;
     use rand::SeedableRng;
 
     fn small_net(seed: u64) -> Network {

@@ -13,10 +13,10 @@
 //! the mask blanks — `QuotedIn` is the one requirement that searches the
 //! raw source, still confined to the fn's span.
 //!
-//! **D10.** Estimator/probe/routing-policy modules ([`policy::D10_FILES`])
-//! must stay sans-IO: they may interrogate the [`Network`] and bill stats,
+//! **D10.** Estimator/probe/routing-policy modules ([`policy::d10_file`])
+//! must stay sans-IO: they may interrogate the `Network` and bill stats,
 //! but direct topology/data mutation (`net.insert(...)`, `net.build(...)`,
-//! `net.bulk_join(...)`) belongs to drivers. Method calls on a `net` /
+//! `net.fail(...)`) belongs to drivers. Method calls on a `net` /
 //! `network` receiver (and `Network::` paths) outside
 //! [`policy::NETWORK_READ_WHITELIST`] are violations — the static
 //! pre-enforcement of ROADMAP item 1's `(incoming message, state) →

@@ -9,18 +9,19 @@
 //!   the full bootstrap-lookup protocol and stabilization repairs routing
 //!   state at a fixed period, so staleness tracks the churn/stabilization
 //!   ratio.
-//! * **Amortized arena churn** ([`Network::churn_join`] /
-//!   [`Network::churn_leave`] / [`Network::churn_crash`] and the batched
-//!   [`ChurnBatch`]) — the mega-scale mutation path: membership events
-//!   splice the columnar state directly and restore *perfect* routing via
-//!   `O(log P)` locality repair
-//!   ([`crate::index::NodeIndex::repair_positions`]), skipping the
-//!   stabilization storm a 10⁶-peer network cannot afford. Data handoff and
-//!   the stabilization traffic a real join/leave would cost are still
-//!   charged to the message counters. A batch coalesces a window of events
-//!   into one column splice plus one repair sweep; it is property-tested
-//!   equivalent to applying the same events one at a time
-//!   (`crates/sim/tests/churn_equivalence.rs`).
+//! * **Batched arena churn** ([`ChurnBatch`]) — the mega-scale mutation
+//!   path: a window of membership events splices the columnar state
+//!   directly and restores *perfect* routing via `O(log P)` locality repair
+//!   (`NodeIndex::repair_positions`), skipping the stabilization storm a
+//!   10⁶-peer network cannot afford. Data handoff and the stabilization
+//!   traffic a real join/leave would cost are still charged to the message
+//!   counters. The batch's semantics are those of applying its events one
+//!   at a time to a Chord ring; `crates/sim/tests/churn_model.rs` checks it
+//!   against a deliberately naive model of exactly that.
+//!
+//! Arena membership changes in exactly these two ways: the protocol path
+//! (`join` / `leave` / `fail` plus stabilization, which [`ChurnProcess`]
+//! drives) and [`ChurnBatch`].
 
 use crate::id::RingId;
 use crate::index::RepairStats;
@@ -230,63 +231,6 @@ pub struct ChurnApplied {
 }
 
 impl Network {
-    /// Amortized single join on arena state: splices `id` into the sorted
-    /// columns, drains the arc `(pred, id]` from the old owner, and restores
-    /// perfect routing with one `O(log P)` locality repair — no bootstrap
-    /// lookup, no stabilization storm. Charges the handoff bytes plus the
-    /// stabilization exchange a protocol join would cost. Returns `false`
-    /// (and does nothing) if the network is empty or `id` is already taken.
-    pub fn churn_join(&mut self, id: RingId) -> bool {
-        if self.nodes.is_empty() || self.nodes.contains_key(&id) {
-            return false;
-        }
-        self.bump_epoch();
-        let p = self.nodes.len();
-        let placement = self.placement;
-        let succ_pos = self.nodes.owner_position(id);
-        let pred = self.nodes.key_at((succ_pos + p - 1) % p).expect("in range");
-        let moved = self
-            .nodes
-            .node_at_mut(succ_pos)
-            .store
-            .drain_by(|x| placement.place(x).in_arc(pred, id));
-        self.stats.record(MessageKind::Handoff, 8 * moved.len());
-        let slen = SUCCESSOR_LIST_LEN.min(p).max(1);
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + slen));
-        let mut node = Node::new(id);
-        node.store.extend_values(moved);
-        self.nodes.insert(id, node);
-        let pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[pos]);
-        true
-    }
-
-    /// Amortized single graceful leave on arena state: hands the departing
-    /// peer's data to its successor, splices the columns, and repairs the
-    /// heir's arc. Charges handoff bytes plus the stabilization exchange.
-    /// Returns `false` if `id` is absent or the network would drop below 2
-    /// peers.
-    pub fn churn_leave(&mut self, id: RingId) -> bool {
-        if !self.nodes.contains_key(&id) || self.nodes.len() <= 2 {
-            return false;
-        }
-        self.bump_epoch();
-        let p = self.nodes.len();
-        let pos = self.nodes.owner_position(id);
-        let data = self.nodes.node_at_mut(pos).store.drain_all();
-        self.stats.record(MessageKind::Handoff, 8 * data.len());
-        let heir = self.nodes.node_at_mut((pos + 1) % p);
-        heir.store.extend_values(data);
-        heir.replicas.remove(&id);
-        let slen = SUCCESSOR_LIST_LEN.min(p - 2).max(1);
-        self.stats.record(MessageKind::Stabilize, 8 * (1 + slen));
-        let _ = self.nodes.remove(&id);
-        self.finger_cursor.remove(&id);
-        let heir_pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[heir_pos]);
-        true
-    }
-
     /// Direct-placement batch insert for churn/turnover phases: every value
     /// lands on its true owner without routing (the mega-scale simulator
     /// path — routing 5% of 2·10⁷ items per round would dwarf the phase
@@ -407,38 +351,26 @@ impl Network {
             self.stats.record(MessageKind::Handoff, 8);
         }
     }
-
-    /// Amortized single crash on arena state: the peer vanishes, its primary
-    /// data is lost (no handoff, no charges — nobody sent anything), and the
-    /// heir's arc is repaired. Returns `false` if `id` is absent or the
-    /// network would drop below 2 peers.
-    pub fn churn_crash(&mut self, id: RingId) -> bool {
-        if !self.nodes.contains_key(&id) || self.nodes.len() <= 2 {
-            return false;
-        }
-        self.bump_epoch();
-        let _ = self.nodes.remove(&id);
-        self.finger_cursor.remove(&id);
-        let heir_pos = self.nodes.owner_position(id);
-        let _ = self.nodes.repair_positions(&[heir_pos]);
-        true
-    }
 }
 
 /// A coalesced window of membership events, applied to arena state in one
 /// column splice plus one monotone repair sweep.
 ///
-/// Semantics are **identical** to applying the recorded events one at a
-/// time through [`Network::churn_join`] / [`Network::churn_leave`] /
-/// [`Network::churn_crash`] in recorded order (the cross-path property
-/// `crates/sim/tests/churn_equivalence.rs` pins): data movement replays in
-/// event order against a merged view of the evolving membership, so
-/// order-dependent outcomes (an heir crashing after inheriting, a joiner
-/// taking items a prior joiner just received) come out the same. The one
-/// policy difference is **conflict handling**: a batch admits at most one
-/// event per id — later events on the same id are skipped and counted,
-/// where the sequential path would apply them. Callers wanting repeat
-/// events on one id split them across batches.
+/// Semantics are **sequential event semantics**: `apply` leaves the network
+/// that applying the recorded events one at a time, in recorded order,
+/// would leave. A join takes the items in
+/// `(pred, id]` from their owner; a leave hands every item to its heir; a
+/// crash loses them. Data movement replays in event order against a merged
+/// view of the evolving membership, so order-dependent outcomes (an heir
+/// crashing after inheriting, a joiner taking items a prior joiner just
+/// received) come out as the sequence dictates. Routing state ends
+/// perfect: predecessors, successor lists and all fingers match the final
+/// ring. `crates/sim/tests/churn_model.rs` checks all of this, plus the
+/// Handoff/Stabilize charges, against a naive `BTreeMap` ring model. The
+/// one policy beyond sequential application is **conflict handling**: a
+/// batch admits at most one event per id — later events on the same id are
+/// skipped and counted. Callers wanting repeat events on one id split them
+/// across batches.
 ///
 /// Scratch buffers (including the replacement columns, which ping-pong with
 /// the network's) are retained across `apply` calls, so steady-state
@@ -519,8 +451,8 @@ impl ChurnBatch {
         let p0 = net.nodes.len();
 
         // Validate. Conflict policy first: at most one event per id per
-        // batch, first recorded wins. Then feasibility in event order,
-        // mirroring the single-event guards exactly: joins of alive ids are
+        // batch, first recorded wins. Then feasibility in event order, as
+        // sequential application would see it: joins of alive ids are
         // skipped, departures of absent ids or past the ≥ 2-peer floor are
         // skipped.
         self.skip.clear();
@@ -591,7 +523,7 @@ impl ChurnBatch {
 
         // Replay data movement in recorded order against the merged view.
         // Every resolution (owner, predecessor, heir) sees exactly the
-        // membership the sequential path would: base peers minus
+        // membership sequential application would: base peers minus
         // already-departed, plus already-joined overlays.
         let placement = net.placement;
         let mut alive = p0;
@@ -718,8 +650,8 @@ enum NodeRef {
 /// The membership as of one event inside a batch: the base columns, minus
 /// departures already replayed, plus joiners already replayed. Entries
 /// activate strictly by sequence number, so resolving against the view at
-/// seq `s` sees exactly what the one-at-a-time path would see before its
-/// `s`-th event.
+/// seq `s` sees exactly what one-at-a-time application would see before
+/// its `s`-th event.
 struct MergedView<'a> {
     keys: &'a [RingId],
     order: &'a [u32],
@@ -893,84 +825,6 @@ mod tests {
         Network::build(ids, Placement::range(0.0, 100.0))
     }
 
-    /// Networks agree on everything the batched/sequential equivalence
-    /// cares about: membership, routing state, data placement, and the
-    /// Handoff/Stabilize charges. Epochs differ by construction (N bumps vs
-    /// one) and are deliberately NOT compared.
-    fn assert_same_network(a: &Network, b: &Network) {
-        let ids_a: Vec<RingId> = a.ids().collect();
-        let ids_b: Vec<RingId> = b.ids().collect();
-        assert_eq!(ids_a, ids_b, "memberships diverge");
-        for id in ids_a {
-            let (na, nb) = (a.node(id).unwrap(), b.node(id).unwrap());
-            assert_eq!(na.predecessor, nb.predecessor, "pred of {id:?}");
-            assert_eq!(na.successors, nb.successors, "succs of {id:?}");
-            assert_eq!(na.fingers, nb.fingers, "fingers of {id:?}");
-            assert_eq!(na.store.values(), nb.store.values(), "store of {id:?}");
-        }
-        assert_eq!(
-            a.stats().count(MessageKind::Handoff),
-            b.stats().count(MessageKind::Handoff),
-            "handoff counts"
-        );
-        assert_eq!(
-            a.stats().count(MessageKind::Stabilize),
-            b.stats().count(MessageKind::Stabilize),
-            "stabilize counts"
-        );
-        assert_eq!(a.stats().total_bytes(), b.stats().total_bytes(), "bytes");
-    }
-
-    #[test]
-    fn churn_join_splices_and_stays_perfect() {
-        let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
-        let before = net.total_items();
-        assert!(net.churn_join(RingId(5_000)));
-        assert!(net.churn_join(RingId(u64::MAX - 3)));
-        assert_eq!(net.len(), 18);
-        assert_eq!(net.total_items(), before, "joins move, never lose, items");
-        assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
-        // Guards: duplicate id and empty network refuse.
-        assert!(!net.churn_join(RingId(5_000)));
-    }
-
-    #[test]
-    fn churn_leave_hands_data_to_heir() {
-        let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
-        let before = net.total_items();
-        let victim = net.ids().nth(5).unwrap();
-        assert!(net.churn_leave(victim));
-        assert_eq!(net.len(), 15);
-        assert_eq!(net.total_items(), before, "graceful leave conserves items");
-        assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
-        assert!(!net.churn_leave(victim), "absent id refuses");
-    }
-
-    #[test]
-    fn churn_crash_loses_primary_data() {
-        let mut net = net_of_n(16);
-        net.bulk_load(&(0..320).map(|i| i as f64 * 100.0 / 320.0).collect::<Vec<_>>());
-        let victim = net.ids().nth(3).unwrap();
-        let victim_items = net.node(victim).unwrap().store.len();
-        assert!(victim_items > 0);
-        let bytes_before = net.stats().total_bytes();
-        assert!(net.churn_crash(victim));
-        assert_eq!(net.total_items(), 320 - victim_items as u64);
-        assert_eq!(net.stats().total_bytes(), bytes_before, "crashes charge nothing");
-        assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
-    }
-
-    #[test]
-    fn churn_floor_blocks_departures() {
-        let mut net = net_of_n(2);
-        let id = net.ids().next().unwrap();
-        assert!(!net.churn_leave(id));
-        assert!(!net.churn_crash(id));
-        assert_eq!(net.len(), 2);
-    }
-
     #[test]
     fn item_turnover_ops_place_and_charge_correctly() {
         let mut net = net_of_n(16);
@@ -1138,47 +992,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_apply_matches_sequential_single_events() {
-        let mut seq = net_of_n(32);
-        seq.bulk_load(&(0..640).map(|i| i as f64 * 100.0 / 640.0).collect::<Vec<_>>());
-        let mut bat = seq.clone();
-        let ids: Vec<RingId> = seq.ids().collect();
-        let step = u64::MAX / 33;
-        // A mixed window: joins landing between existing peers, leaves,
-        // and crashes — all on distinct ids.
-        let events = [
-            ChurnEvent::Join(RingId(ids[4].0 + step / 3)),
-            ChurnEvent::Leave(ids[10]),
-            ChurnEvent::Crash(ids[11]),
-            ChurnEvent::Join(RingId(ids[11].0 + 7)), // lands where the crash just vacated
-            ChurnEvent::Leave(ids[12]),
-            ChurnEvent::Join(RingId(ids[30].0 + step / 2)),
-            ChurnEvent::Crash(ids[0]),
-        ];
-        for ev in events {
-            let applied = match ev {
-                ChurnEvent::Join(id) => seq.churn_join(id),
-                ChurnEvent::Leave(id) => seq.churn_leave(id),
-                ChurnEvent::Crash(id) => seq.churn_crash(id),
-            };
-            assert!(applied, "{ev:?} must be feasible");
-        }
-        let mut batch = ChurnBatch::new();
-        for ev in events {
-            batch.push(ev);
-        }
-        let out = batch.apply(&mut bat);
-        assert_eq!(out.joins, 3);
-        assert_eq!(out.leaves, 2);
-        assert_eq!(out.crashes, 2);
-        assert_eq!(out.skipped, 0);
-        assert_same_network(&seq, &bat);
-        assert!(bat.check_invariants().is_empty(), "{:?}", bat.check_invariants());
-        // The batch is drained and reusable.
-        assert!(batch.is_empty());
-    }
-
-    #[test]
     fn batch_skip_policy_is_pinned() {
         let mut net = net_of_n(8);
         let ids: Vec<RingId> = net.ids().collect();
@@ -1203,12 +1016,14 @@ mod tests {
         let mut net = net_of_n(4);
         let ids: Vec<RingId> = net.ids().collect();
         let mut batch = ChurnBatch::new();
-        for &id in &ids {
-            batch.crash(id);
-        }
+        batch.leave(ids[0]);
+        batch.crash(ids[1]);
+        batch.leave(ids[2]);
+        batch.crash(ids[3]);
         let out = batch.apply(&mut net);
-        // Only two crashes fit above the 2-peer floor.
-        assert_eq!(out.crashes, 2);
+        // Only two departures fit above the 2-peer floor; the floor blocks
+        // leaves and crashes alike.
+        assert_eq!((out.leaves, out.crashes), (1, 1));
         assert_eq!(out.skipped, 2);
         assert_eq!(net.len(), 2);
         assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
@@ -1221,11 +1036,14 @@ mod tests {
         let victim = net.ids().nth(6).unwrap();
         let expected: Vec<f64> = net.node(victim).unwrap().store.values().to_vec();
         assert!(!expected.is_empty());
+        let bytes_before = net.stats().total_bytes();
         let mut batch = ChurnBatch::new();
         batch.crash(victim);
         let out = batch.apply(&mut net);
         assert_eq!(out.lost, expected);
         assert_eq!(net.total_items(), 320 - expected.len() as u64);
+        assert_eq!(net.stats().total_bytes(), bytes_before, "crashes charge nothing");
+        assert!(net.check_invariants().is_empty(), "{:?}", net.check_invariants());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `order[i]` — the permutation column decouples ring order from record
 //! placement, so a membership change splices the two 12-byte-per-position
 //! columns and recycles one slot, never memmoving the ~650-byte records.
-//! [`NodeIndex::repair_positions`] then restores perfect routing state
+//! `NodeIndex::repair_positions` then restores perfect routing state
 //! around the changed arcs in `O(log P)` per event (amortized over the
 //! finger-density argument below) instead of the `O(P · RING_BITS)` full
 //! rewire, bit-identical to [`RingArena::wire_perfect`] on the final column.
@@ -271,8 +271,9 @@ impl NodeIndex {
     /// `(pred − 2^f, keys[i] − 2^f]`). Affected arcs are disjoint
     /// `(pred, self]` ownership arcs of the final ring and every other
     /// owner is unchanged, so the result is bit-identical to
-    /// [`RingArena::wire_perfect`] on the final columns — the cross-path
-    /// property `churn_equivalence.rs` pins.
+    /// [`RingArena::wire_perfect`] on the final columns, which
+    /// `crates/sim/tests/churn_model.rs` checks against routing state
+    /// computed from the definition of a Chord ring.
     ///
     /// Rings small enough that one event shifts the successor-list length
     /// regime (`P ≤ SUCCESSOR_LIST_LEN + 1`) take the full rewire instead —

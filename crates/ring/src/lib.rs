@@ -36,9 +36,8 @@
 //! * [`messages`] — message kinds and cost accounting;
 //! * [`network`] — the overlay itself: build, route, probe;
 //! * [`membership`] — join / leave / fail / stabilize;
-//! * [`churn`] — Poisson churn process driver plus the amortized
-//!   arena-churn path (single-event `churn_*` drivers and batched
-//!   [`ChurnBatch`] repair sweeps for mega-scale networks).
+//! * [`churn`] — Poisson churn process driver plus the batched arena-churn
+//!   path ([`ChurnBatch`] repair sweeps for mega-scale networks).
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -82,15 +82,19 @@ fn warmed_batched_lookup_allocates_nothing() {
 #[test]
 fn bulk_built_lookup_stays_allocation_free() {
     // The mega-scale construction path: `build_bulk` wires the arena in one
-    // O(P·log P) pass and `bulk_join` re-wires it after a block of joiners.
-    // Both must leave the same kind of arena layout the incremental path
-    // produces — warmed lookups stay off the heap.
+    // O(P·log P) pass and a join-only `ChurnBatch` splices in a block of
+    // joiners. Both must leave the same kind of arena layout the incremental
+    // path produces — warmed lookups stay off the heap.
     let seq = SeedSequence::new(99);
     let mut id_rng = seq.stream(Component::NodeIds, 2);
     let ids: Vec<RingId> = (0..512).map(|_| RingId(id_rng.gen())).collect();
     let mut net = Network::build_bulk(ids, Placement::range(0.0, 1000.0));
     let block: Vec<RingId> = (0..64).map(|_| RingId(id_rng.gen())).collect();
-    assert!(net.bulk_join(&block) > 0, "the join block must add peers");
+    let mut batch = ChurnBatch::new();
+    for &id in &block {
+        batch.join(id);
+    }
+    assert!(batch.apply(&mut net).joins > 0, "the join block must add peers");
     let mut rng = seq.stream(Component::Workload, 2);
     let from = net.random_peer(&mut rng).expect("nonempty");
 

@@ -157,11 +157,12 @@ pub enum DstEvent {
         /// Jitter entropy positioning the joiner inside the target arc.
         jitter: u64,
     },
-    /// A block of peers joins through the O(P) bulk path
-    /// ([`dde_ring::Network::bulk_join`]): ids derive from `id_entropy`, the
-    /// whole ring is rewired perfectly in one pass, and misplaced items
-    /// re-home — the mega-scale counterpart of [`DstEvent::FlashCrowd`]'s
-    /// one-by-one overlay joins.
+    /// A block of peers joins at once as one join-only
+    /// [`dde_ring::ChurnBatch`]: ids derive from `id_entropy`, each joiner
+    /// takes its arc's items from their owner, and one repair sweep wires
+    /// the changed arcs — the mega-scale counterpart of
+    /// [`DstEvent::FlashCrowd`]'s one-by-one overlay joins. It shares
+    /// [`DstEvent::ChurnWindow`]'s oracle.
     BulkJoinBlock {
         /// Raw entropy the block's ring ids derive from.
         id_entropy: u64,
@@ -447,12 +448,12 @@ struct World {
     prev_delay: u64,
     estimates: usize,
     /// Whether the ring's wiring is fully converged (perfect successors,
-    /// lists, and fingers everywhere). True after the bulk build, a
-    /// quiesced `Heal`, or a `BulkJoinBlock` full rewire; false once any
-    /// one-at-a-time overlay membership event leaves stale fingers behind.
-    /// Gates the `ChurnWindow` full-oracle check: a batched repair sweep
-    /// preserves convergence, but cannot be blamed for staleness it
-    /// inherited.
+    /// lists, and fingers everywhere). True after the bulk build or a
+    /// quiesced `Heal`; false once any one-at-a-time overlay membership
+    /// event leaves stale fingers behind. Batched events (`ChurnWindow`,
+    /// `BulkJoinBlock`) leave it as it is: their repair sweep keeps a
+    /// converged ring converged but cannot fix staleness it inherited, so
+    /// the flag gates their full-oracle check.
     converged: bool,
 }
 
@@ -728,36 +729,11 @@ impl World {
                 }
             }
             DstEvent::BulkJoinBlock { id_entropy, count } => {
-                let (items_before, peers_before) = (self.net.total_items(), self.net.len());
-                let ids: Vec<RingId> = (0..u64::from(count))
-                    .map(|i| RingId(splitmix64(id_entropy.wrapping_add(i))))
-                    .collect();
-                self.net.bulk_join(&ids);
-                // Bulk wiring is perfect by construction, whatever state the
-                // ring was in before (crashed peers leave the columns when
-                // they die): the *full* convergence oracle must be clean
-                // immediately, no Heal in between.
-                self.converged = true;
-                for v in self.net.check_invariants() {
-                    extra.push(format!("post-bulk-join: {v}"));
+                let mut batch = ChurnBatch::new();
+                for i in 0..u64::from(count) {
+                    batch.join(RingId(splitmix64(id_entropy.wrapping_add(i))));
                 }
-                let items_after = self.net.total_items();
-                if items_after != items_before {
-                    extra.push(format!(
-                        "bulk join broke item conservation: {items_before} -> {items_after}"
-                    ));
-                }
-                if self.net.len() < peers_before {
-                    extra.push(format!(
-                        "bulk join shrank the ring: {peers_before} -> {}",
-                        self.net.len()
-                    ));
-                }
-                // The CoW fork path at the new scale: forking right after a
-                // bulk rewire must conserve the item total column-for-column.
-                if self.net.fork().total_items() != items_after {
-                    extra.push("fork changed the item total after bulk join".into());
-                }
+                self.apply_batch(&mut batch, "bulk join", &mut extra);
             }
             DstEvent::WorkloadBurst { origin_rank, entropy, count } => {
                 let origin = self.peer_at(origin_rank);
@@ -800,8 +776,6 @@ impl World {
                 }
             }
             DstEvent::ChurnWindow { entropy, count } => {
-                let was_converged = self.converged;
-                let items_before = self.net.total_items();
                 let mut batch = ChurnBatch::new();
                 let joins = (usize::from(count) / 2).max(1);
                 // Deaths are capped so the window alone can never sink the
@@ -817,35 +791,7 @@ impl World {
                 for i in 0..deaths as u64 {
                     batch.crash(self.peer_at(splitmix64(entropy ^ (2 * i + 2))));
                 }
-                let applied = batch.apply(&mut self.net);
-                self.crashes += applied.crashes as usize;
-                if applied.crashes > 0 {
-                    // Crashed primaries' data is gone until a Heal promotes
-                    // replicas; the conservation oracle accounts per-event
-                    // below, but the running bound must shrink too.
-                    self.initial_items =
-                        self.initial_items.saturating_sub(applied.lost.len() as u64);
-                }
-                // Handoffs conserve: the only items a window may lose are
-                // the crashed primaries', and the batch reports each one.
-                let items_after = self.net.total_items();
-                if items_after + applied.lost.len() as u64 != items_before {
-                    extra.push(format!(
-                        "churn window broke item conservation: {items_before} -> {items_after} \
-                         with {} reported lost",
-                        applied.lost.len()
-                    ));
-                }
-                // On a converged ring, one batched repair sweep must restore
-                // *full* convergence — perfect successors, lists, and
-                // fingers everywhere — with no Heal in between. (On a ring
-                // already degraded by one-at-a-time churn, the sweep repairs
-                // only what it touched; the full oracle waits for Heal.)
-                if was_converged {
-                    for v in self.net.check_invariants() {
-                        extra.push(format!("post-churn-window: {v}"));
-                    }
-                }
+                self.apply_batch(&mut batch, "churn window", &mut extra);
             }
         }
 
@@ -864,6 +810,49 @@ impl World {
         }
 
         self.oracle(index, event, extra)
+    }
+
+    /// Applies a batched membership event and runs the oracle every batch
+    /// shares. Handoffs conserve items: the only items a batch may lose are
+    /// the crashed primaries', and it reports each one. The ring's size
+    /// moves by exactly the applied joins and departures, and a CoW fork
+    /// keeps the item total. On a converged ring, the one repair sweep must
+    /// restore *full* convergence — perfect successors, lists, and fingers
+    /// everywhere — with no `Heal` in between. On a ring already degraded
+    /// by one-at-a-time churn, the sweep repairs only what it touched, so
+    /// the full oracle waits for `Heal`.
+    fn apply_batch(&mut self, batch: &mut ChurnBatch, what: &str, extra: &mut Vec<String>) {
+        let (items_before, peers_before) = (self.net.total_items(), self.net.len());
+        let applied = batch.apply(&mut self.net);
+        let lost = applied.lost.len() as u64;
+        self.crashes += applied.crashes as usize;
+        // Crashed primaries' data is gone until a Heal promotes replicas, so
+        // the running conservation bound shrinks too.
+        self.initial_items = self.initial_items.saturating_sub(lost);
+        let items_after = self.net.total_items();
+        if items_after + lost != items_before {
+            extra.push(format!(
+                "{what} broke item conservation: {items_before} -> {items_after} \
+                 with {lost} reported lost"
+            ));
+        }
+        let peers_expected = peers_before + applied.joins as usize
+            - applied.leaves as usize
+            - applied.crashes as usize;
+        if self.net.len() != peers_expected {
+            extra.push(format!(
+                "{what} left {} peers, expected {peers_expected} from {peers_before}",
+                self.net.len()
+            ));
+        }
+        if self.net.fork().total_items() != items_after {
+            extra.push(format!("fork changed the item total after {what}"));
+        }
+        if self.converged {
+            for v in self.net.check_invariants() {
+                extra.push(format!("after {what}: {v}"));
+            }
+        }
     }
 
     /// Uninstalls the fault plan, folding its terminal reordering tally into

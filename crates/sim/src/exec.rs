@@ -53,7 +53,7 @@ thread_local! {
 }
 
 /// Credits `d` to the current thread's scenario-build time. Called by
-/// [`crate::build`]; the surrounding cell (if any) attributes the delta to
+/// [`crate::build()`]; the surrounding cell (if any) attributes the delta to
 /// its own build-vs-run split.
 pub fn note_build(d: Duration) {
     // `try_with`: fine to drop the credit during thread teardown. Saturating

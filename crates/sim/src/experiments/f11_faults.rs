@@ -3,7 +3,7 @@
 //! Protocol: install a seeded [`FaultPlan`] on the default network (request
 //! loss swept 0–30%, reply loss at half the request rate, no crashes so the
 //! membership stays fixed and rows are comparable), then estimate. DF-DDE
-//! runs with its default [`RetryPolicy`] — lost probes are re-issued against
+//! runs with its default [`dde_core::RetryPolicy`] — lost probes are re-issued against
 //! fresh ring positions — while gossip and the random walk take losses as
 //! the raw protocols do: Push-Sum loses mass (drift), the walk loses samples
 //! and stalls.

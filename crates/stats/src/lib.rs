@@ -24,7 +24,7 @@
 //! * [`reservoir`] — reservoir sampling;
 //! * [`rng`] — deterministic RNG stream derivation so every simulation is
 //!   reproducible from a single seed;
-//! * [`assert`] — DKW-derived confidence-band assertions for estimator
+//! * [`mod@assert`] — DKW-derived confidence-band assertions for estimator
 //!   accuracy tests (KS and Wasserstein bands, per-seed repeat control).
 
 #![warn(missing_docs)]
